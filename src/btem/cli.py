@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from . import harness, metrics, sketch
+from .core import pack_rows
 from .em import standard_em, two_round_em
 from .errors import (
     AllClustersStarved,
@@ -137,12 +138,7 @@ def _cmd_fit(args):
             raise ParameterError("--algo standard needs --q-known")
         fit = standard_em(dataset.examples, args.k, args.q_known,
                           args.iterations, args.restarts, seed=args.seed)
-    from .core import pack_rows
-    from .metrics import conditional_entropy, conditional_purity
-    from .em import e_step
-
-    assign = e_step(dataset.examples, fit.templates_real, fit.weights, fit.q0)
-    hard = np.argmax(assign.posteriors, axis=1)
+    hard = np.argmax(fit.assignment.posteriors, axis=1)
     diag = fit.diagnostics
     _emit({
         "algo": args.algo,
@@ -151,8 +147,8 @@ def _cmd_fit(args):
         "weights": [float(w) for w in fit.weights],
         "templates_hex": [row.tobytes().hex() for row in pack_rows(fit.templates)],
         "log_likelihood": diag.log_likelihood,
-        "purity_vs_file_labels": conditional_purity(dataset.labels, hard),
-        "entropy_vs_file_labels": conditional_entropy(dataset.labels, hard),
+        "purity_vs_file_labels": metrics.conditional_purity(dataset.labels, hard),
+        "entropy_vs_file_labels": metrics.conditional_entropy(dataset.labels, hard),
         "diagnostics": {
             "q0_clamped": diag.q0_clamped,
             "init_count": None if diag.init_indices is None
@@ -170,7 +166,10 @@ def _cmd_fit(args):
 
 def _cmd_sweep(args):
     config = harness.parse_config(args.config)
-    threads = int(os.environ.get("BTEM_THREADS", args.threads))
+    try:
+        threads = int(os.environ.get("BTEM_THREADS", args.threads))
+    except ValueError:
+        raise ConfigError("BTEM_THREADS must be an integer") from None
     os.makedirs(args.out, exist_ok=True)
     records = harness.sweep_grid(config, threads=max(1, threads))
     csv_path = os.path.join(args.out, "results.csv")

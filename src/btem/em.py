@@ -69,13 +69,15 @@ class FitDiagnostics:
 
 @dataclass(eq=False)
 class FitResult:
-    """Fitted mixture: relaxed templates, their rounding, weights, noise."""
+    """Fitted mixture: relaxed templates, their rounding, weights, noise,
+    and the final E-step over the examples it was fit to (assignment)."""
 
     templates_real: np.ndarray
     templates: np.ndarray
     weights: np.ndarray
     q0: float
     diagnostics: FitDiagnostics = field(default_factory=FitDiagnostics)
+    assignment: Optional[SoftAssignment] = None
 
     def __post_init__(self):
         if not 0.0 < self.q0 <= 0.5:
@@ -133,8 +135,14 @@ def _check_fit_q(q):
         raise ParameterError("likelihood noise level must lie in (0, 1/2]")
 
 
-def _weighted_log_densities(examples, templates, weights, q):
-    """Matrix of log(w_i) + log f_i(x_j), shape (m, r)."""
+def e_step(examples, templates, weights, q):
+    """Posterior responsibilities, computed in the log domain.
+
+    Likelihoods underflow doubles for n in the thousands, so the matrix
+    of log(w_i) + log f_i(x_j) is max-shifted by row before
+    exponentiation.  At q = 1/2 every density is equal and the
+    posteriors reduce to the weights.
+    """
     X = np.atleast_2d(examples)
     T = np.atleast_2d(np.asarray(templates, dtype=np.float64))
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -147,17 +155,7 @@ def _weighted_log_densities(examples, templates, weights, q):
     D = l1_cross_matrix(X, T)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
-    return D * math.log(q) + (n - D) * math.log1p(-q) + logw[None, :]
-
-
-def e_step(examples, templates, weights, q):
-    """Posterior responsibilities, computed in the log domain.
-
-    Likelihoods underflow doubles for n in the thousands, so rows are
-    max-shifted before exponentiation.  At q = 1/2 every density is equal
-    and the posteriors reduce to the weights.
-    """
-    logp = _weighted_log_densities(examples, templates, weights, q)
+    logp = D * math.log(q) + (n - D) * math.log1p(-q) + logw[None, :]
     shift = logp.max(axis=1, keepdims=True)
     z = np.exp(logp - shift)
     total = z.sum(axis=1, keepdims=True)
@@ -227,9 +225,20 @@ def farthest_first_select(templates, k, rng=None, weights=None, deterministic=Fa
     return selected
 
 
+def _em_rounds(X, T, weights, q, rounds):
+    """Run the given number of E/M rounds; returns (weights, templates)."""
+    for _ in range(rounds):
+        assign = e_step(X, T, weights, q)
+        weights, T = m_step(X, assign, prev_templates=T)
+    return weights, T
+
+
 def _finish(X, T_real, weights, q0, diag):
-    diag.log_likelihood = log_likelihood(X, T_real, weights, q0)
-    return FitResult(T_real, round_to_binary(T_real), weights, q0, diag)
+    """Wrap the final mixture, scored by one E-step over the examples."""
+    assign = e_step(X, T_real, weights, q0)
+    diag.log_likelihood = float(assign.log_normalizers.sum())
+    return FitResult(T_real, round_to_binary(T_real), weights, q0, diag,
+                     assign)
 
 
 def two_round_em(examples, k, w_min, delta, seed, rounds=2,
@@ -275,10 +284,7 @@ def two_round_em(examples, k, w_min, delta, seed, rounds=2,
     init_idx = child_stream(seed, 0).choice(m, size=l, replace=False)
     T0 = X[init_idx]
     q0, clamped = estimate_q0(T0)
-    w0 = np.full(l, 1.0 / l)
-
-    assign = e_step(X, T0, w0, q0)
-    w1, T1 = m_step(X, assign, prev_templates=T0)
+    w1, T1 = _em_rounds(X, T0, np.full(l, 1.0 / l), q0, 1)
 
     survivors = prune_by_weight(w1, w_threshold)
     picked = farthest_first_select(
@@ -292,11 +298,7 @@ def two_round_em(examples, k, w_min, delta, seed, rounds=2,
     if round1_binarize:
         T = round_to_binary(T).astype(np.float64)
 
-    weights = np.full(k, 1.0 / k)
-    for _ in range(rounds - 1):
-        assign = e_step(X, T, weights, q0)
-        weights, T = m_step(X, assign, prev_templates=T)
-
+    weights, T = _em_rounds(X, T, np.full(k, 1.0 / k), q0, rounds - 1)
     diag = FitDiagnostics(
         init_indices=init_idx,
         q0_clamped=clamped,
@@ -306,7 +308,6 @@ def two_round_em(examples, k, w_min, delta, seed, rounds=2,
         survivor_indices=survivors,
         selection_order=selection,
         iterations=rounds,
-        wall_time_s=0.0,
     )
     result = _finish(X, T, weights, q0, diag)
     diag.wall_time_s = time.perf_counter() - t0
@@ -333,30 +334,18 @@ def standard_em(examples, k, q_known, iterations, restarts, seed):
     best = None
     for r in range(restarts):
         init_idx = child_stream(seed, r).choice(m, size=k, replace=False)
-        T = X[init_idx].astype(np.float64)
-        weights = np.full(k, 1.0 / k)
-        for _ in range(iterations):
-            assign = e_step(X, T, weights, q_known)
-            weights, T = m_step(X, assign, prev_templates=T)
-        ll = log_likelihood(X, T, weights, q_known)
-        if best is None or ll > best[0]:
-            best = (ll, r, init_idx, weights, T)
+        weights, T = _em_rounds(X, X[init_idx].astype(np.float64),
+                                np.full(k, 1.0 / k), q_known, iterations)
+        fit = _finish(X, T, weights, q_known, FitDiagnostics(
+            init_indices=init_idx, iterations=iterations, restart_index=r))
+        if (best is None or fit.diagnostics.log_likelihood
+                > best.diagnostics.log_likelihood):
+            best = fit
 
-    ll, r, init_idx, weights, T = best
-    diag = FitDiagnostics(
-        init_indices=init_idx,
-        iterations=iterations,
-        restart_index=r,
-        wall_time_s=0.0,
-    )
-    result = _finish(X, T, weights, q_known, diag)
-    diag.wall_time_s = time.perf_counter() - t0
-    return result
+    best.diagnostics.wall_time_s = time.perf_counter() - t0
+    return best
 
 
 def log_likelihood(examples, templates, weights, q):
-    """Observed-data log-likelihood of a fitted mixture, via log-sum-exp."""
-    logp = _weighted_log_densities(examples, templates, weights, q)
-    shift = logp.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(logp - shift).sum(axis=1))
-    return float(lse.sum())
+    """Observed-data log-likelihood: the E-step's summed log-normalizers."""
+    return float(e_step(examples, templates, weights, q).log_normalizers.sum())

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -387,8 +388,9 @@ def _agg(values):
 def sweep_grid(config, threads=1):
     """Run the full factorial sweep and aggregate per (point, algorithm).
 
-    Trials execute concurrently when threads > 1; records are assembled
-    in deterministic (point, algorithm, trial) order either way.
+    Trials execute concurrently on min(threads, trials, cpu count)
+    workers; records are assembled in deterministic (point, algorithm,
+    trial) order either way.
     """
     points = config.points()
     algos = config.algorithms
@@ -404,8 +406,9 @@ def sweep_grid(config, threads=1):
                              config.success, config.templates,
                              config.timing)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(len(tasks))))
     else:
         for i in range(len(tasks)):
@@ -501,8 +504,10 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
-def _chart_frame(title, xlabel, ylabel):
-    return [
+def _write_chart(path, title, xlabel, ylabel, series, x_range, y_range):
+    """Frame plus one polyline and legend entry per (index, algo, points)
+    series, points in data units scaled from x_range and y_range."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_CHART_W} {_CHART_H}">',
         f'<rect width="{_CHART_W}" height="{_CHART_H}" fill="white"/>',
@@ -516,38 +521,13 @@ def _chart_frame(title, xlabel, ylabel):
         f'<rect x="{_PAD}" y="{_PAD}" width="{_CHART_W - 2 * _PAD}" '
         f'height="{_CHART_H - 2 * _PAD}" fill="none" stroke="#888888"/>',
     ]
-
-
-def _polyline(xs, ys, color):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>')
-
-
-def _series_by_algo(records):
-    order = []
-    series = {}
-    for r in records:
-        if r.algo not in series:
-            order.append(r.algo)
-            series[r.algo] = []
-        series[r.algo].append(r)
-    return [(algo, series[algo]) for algo in order]
-
-
-def write_rate_chart_svg(records, path, x_axis):
-    """Success rate against one swept parameter, one polyline per algo."""
-    xs_all = sorted({getattr(r, x_axis) for r in records})
-    lo, hi = xs_all[0], xs_all[-1]
-    parts = _chart_frame("success rate", x_axis, "success rate")
-    for ci, (algo, recs) in enumerate(_series_by_algo(records)):
-        recs = sorted(recs, key=lambda r: getattr(r, x_axis))
-        xs = _scale([getattr(r, x_axis) for r in recs], lo, hi,
-                    _PAD, _CHART_W - _PAD)
-        ys = _scale([r.success_rate for r in recs], 0.0, 1.0,
-                    _CHART_H - _PAD, _PAD)
+    for ci, algo, pts in series:
+        xs = _scale([p[0] for p in pts], *x_range, _PAD, _CHART_W - _PAD)
+        ys = _scale([p[1] for p in pts], *y_range, _CHART_H - _PAD, _PAD)
         color = _PALETTE[ci % len(_PALETTE)]
-        parts.append(_polyline(xs, ys, color))
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        parts.append(f'<polyline points="{coords}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{_PAD + 4}" y="{_PAD + 14 + 13 * ci}" '
                      f'font-size="11" fill="{color}">{algo}</text>')
     parts.append("</svg>")
@@ -556,12 +536,30 @@ def write_rate_chart_svg(records, path, x_axis):
     return path
 
 
+def _series_by_algo(records):
+    series = {}
+    for r in records:
+        series.setdefault(r.algo, []).append(r)
+    return list(series.items())
+
+
+def write_rate_chart_svg(records, path, x_axis):
+    """Success rate against one swept parameter, one polyline per algo."""
+    xs_all = sorted({getattr(r, x_axis) for r in records})
+    series = []
+    for ci, (algo, recs) in enumerate(_series_by_algo(records)):
+        recs = sorted(recs, key=lambda r: getattr(r, x_axis))
+        series.append((ci, algo, [(getattr(r, x_axis), r.success_rate)
+                                  for r in recs]))
+    return _write_chart(path, "success rate", x_axis, "success rate", series,
+                        (xs_all[0], xs_all[-1]), (0.0, 1.0))
+
+
 def write_frontier_chart_svg(records, path, x_axis, y_axis, level=0.9):
     """Iso-success frontier: per x, the smallest y reaching the level."""
     xs_all = sorted({getattr(r, x_axis) for r in records})
     ys_all = sorted({getattr(r, y_axis) for r in records})
-    parts = _chart_frame(f"iso-success frontier (rate >= {level:g})",
-                         x_axis, y_axis)
+    series = []
     for ci, (algo, recs) in enumerate(_series_by_algo(records)):
         pts = []
         for x in xs_all:
@@ -569,17 +567,8 @@ def write_frontier_chart_svg(records, path, x_axis, y_axis, level=0.9):
                     if getattr(r, x_axis) == x and r.success_rate >= level]
             if hits:
                 pts.append((x, min(hits)))
-        if not pts:
-            continue
-        xs = _scale([p[0] for p in pts], xs_all[0], xs_all[-1],
-                    _PAD, _CHART_W - _PAD)
-        ys = _scale([p[1] for p in pts], ys_all[0], ys_all[-1],
-                    _CHART_H - _PAD, _PAD)
-        color = _PALETTE[ci % len(_PALETTE)]
-        parts.append(_polyline(xs, ys, color))
-        parts.append(f'<text x="{_PAD + 4}" y="{_PAD + 14 + 13 * ci}" '
-                     f'font-size="11" fill="{color}">{algo}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path
+        if pts:
+            series.append((ci, algo, pts))
+    return _write_chart(path, f"iso-success frontier (rate >= {level:g})",
+                        x_axis, y_axis, series,
+                        (xs_all[0], xs_all[-1]), (ys_all[0], ys_all[-1]))

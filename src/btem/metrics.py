@@ -7,7 +7,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .core import l1_distance
-from .em import e_step, log_likelihood
 from .errors import DimensionError, InsufficientInput
 
 __all__ = [
@@ -112,11 +111,14 @@ class ClusterEvaluation:
 
 
 def evaluate_fit(dataset, model, fit):
-    """Score a fit: label agreement metrics from the fit's own posterior
-    argmax, likelihood under the fitted mixture, and template recovery
-    via minimum-cost matching against the true templates."""
-    assign = e_step(dataset.examples, fit.templates_real, fit.weights, fit.q0)
-    hard = np.argmax(assign.posteriors, axis=1)
+    """Score a fit on the examples it was fit to: label agreement from the
+    argmax of fit.assignment, the fit's log-likelihood, and template
+    recovery via minimum-cost matching against the true templates."""
+    rows = 0 if fit.assignment is None else fit.assignment.posteriors.shape[0]
+    if rows != dataset.m:
+        raise DimensionError(
+            f"fit has posteriors for {rows} examples, dataset has {dataset.m}")
+    hard = np.argmax(fit.assignment.posteriors, axis=1)
     perm, total = match_templates(fit.templates, model.templates)
     errors = np.array([
         l1_distance(fit.templates[i], model.templates[perm[i]])
@@ -125,8 +127,7 @@ def evaluate_fit(dataset, model, fit):
     return ClusterEvaluation(
         purity=conditional_purity(dataset.labels, hard),
         entropy=conditional_entropy(dataset.labels, hard),
-        log_likelihood=log_likelihood(dataset.examples, fit.templates_real,
-                                      fit.weights, fit.q0),
+        log_likelihood=fit.diagnostics.log_likelihood,
         exact_recovery=bool(total == 0.0),
         template_errors=errors,
         permutation=perm,

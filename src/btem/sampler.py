@@ -7,6 +7,7 @@ example index, so datasets are reproducible and order-independent.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,9 +223,12 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """Inverse of save_dataset.  Malformed files raise ValueError."""
+    """Inverse of save_dataset.  Malformed files raise ValueError,
+    including a header whose m records cannot fit in the rest of the file
+    and records past the m-th."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        header_line = fh.readline()
+        header = header_line.split()
         if [tok.split("=", 1)[0] for tok in header] != ["n", "m", "k"]:
             raise ValueError(f"{path}: bad header line")
         try:
@@ -232,6 +236,13 @@ def load_dataset(path):
         except (IndexError, ValueError) as exc:
             raise ValueError(f"{path}: bad header line") from exc
         nbytes = (n + 7) // 8
+        # a record is `<label> <hex>\n`: at least 2*nbytes + 3 bytes, less
+        # the newline on the last line; check before allocating m x n
+        remaining = os.fstat(fh.fileno()).st_size - len(header_line)
+        if m * (2 * nbytes + 3) - 1 > remaining:
+            raise ValueError(
+                f"{path}: header promises {m} records of {n} bits, but only "
+                f"{remaining} bytes follow it")
         X = np.empty((m, n), dtype=np.uint8)
         y = np.empty(m, dtype=np.int64)
         for j in range(m):
@@ -250,6 +261,8 @@ def load_dataset(path):
             if bits[n:].any():
                 raise ValueError(f"{path}: nonzero padding at example {j}")
             X[j] = bits[:n]
+        if any(line.strip() for line in fh):
+            raise ValueError(f"{path}: records past the header's m={m}")
     if m and not (0 <= y.min() and y.max() < k):
         raise ValueError(f"{path}: label outside [0, k)")
     return LabeledDataset(X, y, k=k)

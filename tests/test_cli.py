@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,17 @@ class TestFit:
         assert code == 3
         assert err
 
+    @pytest.mark.parametrize("text", [
+        "n=1000000 m=10000000000 k=2\n0 00\n",
+        "n=4 m=1 k=2\n0 00\n1 00\n0 00\n",
+    ])
+    def test_bad_record_count_is_data_error(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        code, _, err = run(["fit", "--data", str(p), "--k", "2"], capsys)
+        assert code == 3
+        assert "internal error" not in err
+
     def test_oversized_k_is_run_failure(self, dataset_file, capsys):
         # delta=0.9, w_min=0.5 seeds only 12 clusters, fewer than k=13
         code, _, err = run([
@@ -133,6 +146,43 @@ class TestFit:
         ], capsys)
         assert code == 4
         assert err
+
+
+class TestGoldenFit:
+    """`btem fit` output pinned byte for byte on a committed dataset.
+
+    The dataset and the JSON files were written by `btem generate --n 301
+    --m 400 --k 3 --q 0.1 --c 0.3 --w-min 0.25 --templates random --seed 5`
+    and `btem fit` with the flags below.  Only wall_time_s may differ.
+    """
+
+    DATA = Path(__file__).parent / "data"
+    CASES = {
+        "golden_fit_two_round.json": ["--algo", "two-round", "--w-min", "0.25"],
+        "golden_fit_standard.json": [
+            "--algo", "standard", "--q-known", "0.1", "--iterations", "5",
+            "--restarts", "4"],
+        # restart 0 loses here, so the winner is not the first restart
+        "golden_fit_standard_seed1.json": [
+            "--algo", "standard", "--q-known", "0.1", "--iterations", "5",
+            "--restarts", "4", "--seed", "1"],
+    }
+
+    @staticmethod
+    def mask_wall_time(text):
+        return re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s": null', text)
+
+    @pytest.mark.parametrize("golden", sorted(CASES))
+    def test_matches_committed_json(self, golden, tmp_path, capsys):
+        out = tmp_path / "fit.json"
+        code, _, _ = run([
+            "fit", "--data", str(self.DATA / "golden_n301_m400_k3.txt"),
+            "--k", "3", *self.CASES[golden], "--out", str(out),
+        ], capsys)
+        assert code == 0
+        expected = (self.DATA / golden).read_text()
+        assert self.mask_wall_time(out.read_text()) == \
+            self.mask_wall_time(expected)
 
 
 class TestSweep:
@@ -191,6 +241,16 @@ class TestSweep:
             assert code == 0
             outputs.append((out_dir / "results.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_non_integer_threads_env_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("BTEM_THREADS", "two")
+        code, _, err = run([
+            "sweep", "--config", str(self.write_config(tmp_path)),
+            "--out", str(tmp_path / "o"),
+        ], capsys)
+        assert code == 2
+        assert "BTEM_THREADS" in err
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

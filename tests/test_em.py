@@ -32,6 +32,7 @@ from btem.sampler import (
     MixtureModel,
     child_stream,
     make_line_templates,
+    make_random_templates,
     mixture_weights,
     sample_dataset,
 )
@@ -516,3 +517,62 @@ class TestFitResult:
         fit = two_round_em(ds.examples, 2, 0.5, 0.1, seed=9)
         assert np.array_equal(fit.templates, (fit.templates_real >= 0.5))
         assert fit.k == 2
+
+    @pytest.mark.parametrize("fit_fn", [
+        lambda X: two_round_em(X, 2, 0.5, 0.1, seed=9),
+        lambda X: standard_em(X, 2, 0.1, iterations=3, restarts=3, seed=9),
+    ])
+    def test_assignment_is_the_final_e_step(self, fit_fn):
+        _, ds = line_dataset(64, 0.5, 0.1, 80, 41)
+        fit = fit_fn(ds.examples)
+        want = e_step(ds.examples, fit.templates_real, fit.weights, fit.q0)
+        assert np.array_equal(fit.assignment.posteriors, want.posteriors)
+        assert np.array_equal(fit.assignment.log_normalizers,
+                              want.log_normalizers)
+        assert fit.diagnostics.log_likelihood == log_likelihood(
+            ds.examples, fit.templates_real, fit.weights, fit.q0)
+
+
+def random_dataset(seed, n=301, m=200, k=3):
+    T = make_random_templates(n, k, 0.3, seed)
+    model = MixtureModel(T, mixture_weights(k, 0.25), 0.1)
+    return sample_dataset(model, m, 100 + seed).examples
+
+
+class TestMetamorphic:
+    """Symmetries of the model that any refactor of the fit must keep."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_column_permutation_permutes_templates(self, seed):
+        X = random_dataset(seed)
+        perm = np.random.default_rng(seed).permutation(X.shape[1])
+        fit = two_round_em(X, 3, 0.25, 0.1, seed=seed)
+        fit_p = two_round_em(X[:, perm], 3, 0.25, 0.1, seed=seed)
+        assert np.array_equal(fit_p.templates, fit.templates[:, perm])
+        np.testing.assert_allclose(fit_p.templates_real,
+                                   fit.templates_real[:, perm], rtol=0, atol=1e-9)
+        assert fit_p.q0 == fit.q0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complement_maps_templates_to_one_minus(self, seed):
+        # rounded templates need not complement exactly: 0.5 rounds to 1
+        X = random_dataset(seed)
+        fit = two_round_em(X, 3, 0.25, 0.1, seed=seed)
+        fit_c = two_round_em(1 - X, 3, 0.25, 0.1, seed=seed)
+        np.testing.assert_allclose(fit_c.templates_real,
+                                   1.0 - fit.templates_real, rtol=0, atol=1e-9)
+        assert fit_c.q0 == fit.q0
+        np.testing.assert_allclose(fit_c.weights, fit.weights, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacking_data_leaves_em_round_unchanged(self, seed):
+        X = random_dataset(seed)
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(size=(4, X.shape[1]))
+        w = np.full(4, 0.25)
+        w1, T1 = m_step(X, e_step(X, T, w, 0.2), prev_templates=T)
+        XX = np.vstack([X, X])
+        w2, T2 = m_step(XX, e_step(XX, T, w, 0.2), prev_templates=T)
+        np.testing.assert_allclose(w2, w1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(T2, T1, rtol=0, atol=1e-12)

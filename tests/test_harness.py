@@ -4,9 +4,11 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from btem import harness
 from btem.errors import ConfigError
 from btem.harness import (
     CSV_COLUMNS,
@@ -283,6 +285,34 @@ class TestSweepGrid:
         write_csv(sweep_grid(cfg, threads=4), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("threads, cpus, expected", [
+        (64, 3, 3),   # capped by the machine
+        (64, 64, 6),  # capped by the 6 trials
+        (2, 64, 2),   # as asked
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, threads, cpus, expected):
+        seen = []
+
+        class RecordingPool:
+            """Stands in for ThreadPoolExecutor; runs tasks inline."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        sweep_grid(small_config(), threads=threads)  # 2 points x 3 trials
+        assert seen == [expected]
+
     def test_failed_trials_leave_nan_aggregates(self):
         # m below the seed count: every trial fails with InsufficientData
         cfg = config_from_dict({
@@ -381,3 +411,42 @@ class TestCharts:
         write_frontier_chart_svg(records, p, "m", "n", level=0.0)
         root = ET.parse(p).getroot()
         assert root.tag.endswith("svg")
+
+
+def hand_records():
+    """Three algorithms over an (m, n) grid, built without sampling.
+
+    "never" stays below every level, so the frontier chart skips it.
+    """
+    rates = {"two-round": (0.2, 0.95, 1.0), "never": (0.0, 0.1, 0.5),
+             "standard(5,2)": (0.0, 0.9, 0.97)}
+    out = []
+    for n in (64, 48):  # x ties out of rate order: the sort must be stable
+        for mi, m in enumerate((30, 60, 90)):
+            for algo, rate in rates.items():
+                r = max(0.0, rate[mi] - (0.1 if n == 48 else 0.0))
+                out.append(SweepRecord(
+                    algo=algo, n=n, m=m, k=2, q=0.1, c=0.5, w_min=0.5,
+                    delta=0.1, epsilon=0.1, trials=20,
+                    successes=round(20 * r), success_rate=r,
+                    purity_mean=0.9, purity_std=0.01, entropy_mean=0.1,
+                    entropy_std=0.01, loglik_mean=-100.0, loglik_std=1.0,
+                    theory_ok=False, wall_ms_mean=0.0))
+    return out
+
+
+class TestChartBytes:
+    """Both chart writers pinned byte for byte on hand-built records."""
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_rate_chart_bytes(self, tmp_path):
+        p = tmp_path / "rate.svg"
+        write_rate_chart_svg(hand_records(), p, "m")
+        assert p.read_bytes() == (self.DATA / "golden_rate_vs_m.svg").read_bytes()
+
+    def test_frontier_chart_bytes(self, tmp_path):
+        p = tmp_path / "front.svg"
+        write_frontier_chart_svg(hand_records(), p, "m", "n")
+        assert p.read_bytes() == \
+            (self.DATA / "golden_frontier_m_n.svg").read_bytes()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btem.em import two_round_em
+from btem.em import FitResult, two_round_em
 from btem.errors import DimensionError, InsufficientInput
 from btem.metrics import (
     conditional_entropy,
@@ -208,6 +208,21 @@ class TestEvaluateFit:
         model, ds, fit = easy_fit
         ev = evaluate_fit(ds, model, fit)
         assert ev.entropy_bits == ev.entropy / math.log(2)
+
+    def test_scores_the_fit_on_its_own_examples(self, easy_fit):
+        model, ds, fit = easy_fit
+        ev = evaluate_fit(ds, model, fit)
+        assert ev.log_likelihood == fit.diagnostics.log_likelihood
+
+    def test_dataset_must_be_the_fitted_one(self, easy_fit):
+        model, ds, fit = easy_fit
+        part = LabeledDataset(ds.examples[:100], ds.labels[:100], k=2)
+        with pytest.raises(DimensionError):
+            evaluate_fit(part, model, fit)
+        bare = FitResult(fit.templates_real, fit.templates, fit.weights,
+                         fit.q0)
+        with pytest.raises(DimensionError):
+            evaluate_fit(ds, model, bare)
 
     def test_near_optimality_gaps_small_on_recovery(self, easy_fit):
         model, ds, fit = easy_fit

@@ -243,12 +243,26 @@ class TestPersistence:
             "n=4 m=2 k=1\n0 00\n",            # row count mismatch
             "n=4 m=1 k=1\n0 0000\n",          # wrong byte count
             "n=4 m=1 k=1\n3 00\n",            # label out of range
+            "n=4 m=1 k=2\n0 00\n1 00\n0 00\n",  # records past m
+            # m x n would need ~10^16 bytes: rejected before allocating
+            "n=1000000 m=10000000000 k=2\n0 00\n",
         ]
         for i, text in enumerate(cases):
             p = tmp_path / f"bad{i}.txt"
             p.write_text(text)
             with pytest.raises(ValueError):
                 load_dataset(p)
+
+    @pytest.mark.parametrize("text", [
+        "n=4 m=2 k=2\n0 01\n1 02",      # last record without its newline
+        "n=4 m=2 k=2\n0 01\n1 02\n\n",  # trailing blank line
+    ])
+    def test_file_ends_that_still_load(self, text, tmp_path):
+        p = tmp_path / "ends.txt"
+        p.write_text(text)
+        back = load_dataset(p)
+        assert back.labels.tolist() == [0, 1]
+        assert back.examples.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
 
     def test_padding_bits_must_be_zero(self, tmp_path):
         p = tmp_path / "pad.txt"
